@@ -15,25 +15,33 @@ std::size_t parts_needed(std::size_t n, std::size_t g_max) {
 
 PartitionLabels lc_partition_solve(const Graph& g,
                                    const LcPartitionConfig& cfg,
-                                   int restarts, std::uint64_t seed) {
+                                   int restarts, std::uint64_t seed,
+                                   std::size_t* cut) {
   const std::size_t k = parts_needed(g.vertex_count(), cfg.g_max);
-  if (k <= 1) return PartitionLabels(g.vertex_count(), 0);
+  if (k <= 1) {
+    if (cut != nullptr) *cut = 0;
+    return PartitionLabels(g.vertex_count(), 0);
+  }
   if (cfg.exact_small && g.vertex_count() <= cfg.exact_vertex_limit) {
-    if (auto exact = partition_exact(g, cfg.g_max, k)) return *exact;
+    if (auto exact = partition_exact(g, cfg.g_max, k)) {
+      if (cut != nullptr) *cut = cut_edge_count(g, *exact);
+      return *exact;
+    }
   }
   PartitionConfig pc;
   pc.max_part_size = cfg.g_max;
   pc.num_parts = k;
   pc.seed = seed;
   pc.restarts = restarts;
-  return partition_min_cut(g, pc);
+  return partition_min_cut(g, pc, cut);
 }
 
 std::size_t lc_partition_quick_cut(const Graph& g,
                                    const LcPartitionConfig& cfg,
                                    std::uint64_t seed) {
-  return cut_edge_count(
-      g, lc_partition_solve(g, cfg, cfg.quick_restarts, seed));
+  std::size_t cut = 0;
+  lc_partition_solve(g, cfg, cfg.quick_restarts, seed, &cut);
+  return cut;
 }
 
 PartitionOutcome lc_partition_finalize(const Graph& original,

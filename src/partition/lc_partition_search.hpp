@@ -70,9 +70,11 @@ PartitionOutcome search_lc_partition(const Graph& g,
 
 /// Balanced min-cut partition with the search's solver stack: exact
 /// branch-and-bound on small graphs, multi-restart refinement otherwise.
+/// A non-null `cut` receives the partition's cut edge count.
 PartitionLabels lc_partition_solve(const Graph& g,
                                    const LcPartitionConfig& cfg,
-                                   int restarts, std::uint64_t seed);
+                                   int restarts, std::uint64_t seed,
+                                   std::size_t* cut = nullptr);
 
 /// Cut size of a quick (few-restart) partition — the noisy score every
 /// search ranks candidate LC-transformed graphs by.

@@ -304,6 +304,10 @@ int LineServer::serve(int listen_fd, std::atomic<bool>& stop) {
       if (ready <= 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
+      // Like connect_tcp: pipelined replies must not wait on delayed ACKs.
+      // On a Unix socket the call fails harmlessly.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<ServerConn>(fd);
       auto done = std::make_shared<std::atomic<bool>>(false);
       std::lock_guard<std::mutex> lock(mutex);

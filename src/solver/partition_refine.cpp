@@ -61,65 +61,61 @@ PartitionLabels grow_seed_partition(const Graph& g, std::size_t k,
   return labels;
 }
 
-/// One improvement pass: greedy single-vertex moves and pairwise swaps that
-/// strictly reduce the cut. Returns true when anything improved.
-bool refine_pass(const Graph& g, PartitionLabels& labels, std::size_t k,
-                 std::size_t cap, Rng& rng) {
-  const std::size_t n = g.vertex_count();
-  std::vector<std::size_t> size(k, 0);
-  for (Vertex v = 0; v < n; ++v) ++size[labels[v]];
+/// Scratch sized once per partition_min_cut call and reused by every
+/// restart and pass, so refinement never allocates.
+struct RefineScratch {
+  std::vector<Vertex> order;
+  std::vector<std::size_t> size;  ///< vertices per part
+  std::vector<int> tally;         ///< one vertex's edges into each part
+};
 
-  // degree_to[p]: edges from v into part p (recomputed per vertex; n is at
-  // most a few hundred in our workloads so this stays cheap).
-  auto gain_of_move = [&](Vertex v, std::uint32_t to) {
-    int internal = 0, external = 0;
-    g.for_each_neighbor(v, [&](Vertex u) {
-      if (labels[u] == labels[v]) ++internal;
-      if (labels[u] == to) ++external;
-    });
-    return external - internal;  // cut delta = -(gain)
-  };
+/// One improvement pass: greedy single-vertex moves and pairwise swaps that
+/// strictly reduce the cut, each priced from local neighbor scans. `cut`
+/// is kept exact. Returns true when anything improved.
+bool refine_pass(const Graph& g, PartitionLabels& labels, std::size_t& cut,
+                 std::size_t cap, Rng& rng, RefineScratch& s) {
+  std::fill(s.size.begin(), s.size.end(), 0);
+  for (std::uint32_t p : labels) ++s.size[p];
 
   bool improved = false;
-  std::vector<Vertex> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
+  std::iota(s.order.begin(), s.order.end(), 0);
+  rng.shuffle(s.order);
 
-  for (Vertex v : order) {
+  for (Vertex v : s.order) {
+    // One neighbor scan tallies v's edges into every part; moving v from
+    // `from` to `to` gains tally[to] - tally[from] cut edges.
+    std::fill(s.tally.begin(), s.tally.end(), 0);
+    g.for_each_neighbor(v, [&](Vertex u) { ++s.tally[labels[u]]; });
     const std::uint32_t from = labels[v];
     int best_gain = 0;
     std::uint32_t best_to = from;
-    for (std::uint32_t to = 0; to < k; ++to) {
-      if (to == from || size[to] >= cap) continue;
-      const int gain = gain_of_move(v, to);
+    for (std::uint32_t to = 0; to < s.tally.size(); ++to) {
+      if (to == from || s.size[to] >= cap) continue;
+      const int gain = s.tally[to] - s.tally[from];
       if (gain > best_gain) {
         best_gain = gain;
         best_to = to;
       }
     }
     if (best_to != from) {
-      --size[from];
-      ++size[best_to];
+      --s.size[from];
+      ++s.size[best_to];
       labels[v] = best_to;
+      cut -= static_cast<std::size_t>(best_gain);
       improved = true;
     }
   }
 
   // Pairwise swaps unlock moves blocked by the size cap. (Labels mutate
   // inside the visit, the graph does not — the live row scan is safe.)
-  for (Vertex v : order) {
+  for (Vertex v : s.order) {
     g.for_each_neighbor(v, [&](Vertex u) {
       if (labels[u] == labels[v]) return;
-      const std::uint32_t pv = labels[v], pu = labels[u];
-      const int before = static_cast<int>(cut_edge_count(g, labels));
-      labels[v] = pu;
-      labels[u] = pv;
-      const int after = static_cast<int>(cut_edge_count(g, labels));
-      if (after < before) {
+      const int delta = swap_cut_delta(g, labels, v, u);
+      if (delta < 0) {
+        std::swap(labels[v], labels[u]);
+        cut -= static_cast<std::size_t>(-delta);
         improved = true;
-      } else {
-        labels[v] = pv;
-        labels[u] = pu;
       }
     });
   }
@@ -127,6 +123,21 @@ bool refine_pass(const Graph& g, PartitionLabels& labels, std::size_t k,
 }
 
 }  // namespace
+
+int swap_cut_delta(const Graph& g, const PartitionLabels& labels, Vertex v,
+                   Vertex u) {
+  // x's edges into its own part become cut, its edges into the other part
+  // become internal; a v-u edge stays cut either way and is skipped.
+  const auto loss = [&](Vertex x, Vertex skip, std::uint32_t own,
+                        std::uint32_t other) {
+    int d = 0;
+    g.for_each_neighbor(x, [&](Vertex w) {
+      if (w != skip) d += (labels[w] == own) - (labels[w] == other);
+    });
+    return d;
+  };
+  return loss(v, u, labels[v], labels[u]) + loss(u, v, labels[u], labels[v]);
+}
 
 bool partition_is_valid(const Graph& g, const PartitionLabels& labels,
                         std::size_t max_part_size) {
@@ -142,30 +153,39 @@ bool partition_is_valid(const Graph& g, const PartitionLabels& labels,
   return true;
 }
 
-PartitionLabels partition_min_cut(const Graph& g, const PartitionConfig& cfg) {
+PartitionLabels partition_min_cut(const Graph& g, const PartitionConfig& cfg,
+                                  std::size_t* cut) {
   EPG_REQUIRE(cfg.max_part_size >= 1, "max_part_size must be positive");
   const std::size_t n = g.vertex_count();
   const std::size_t k = part_count(g, cfg);
   EPG_REQUIRE(k * cfg.max_part_size >= n,
               "partition cannot fit all vertices");
-  if (k <= 1 || n == 0) return PartitionLabels(n, 0);
+  if (k <= 1 || n == 0) {
+    if (cut != nullptr) *cut = 0;
+    return PartitionLabels(n, 0);
+  }
 
   Rng rng(cfg.seed);
+  RefineScratch scratch{std::vector<Vertex>(n), std::vector<std::size_t>(k),
+                        std::vector<int>(k)};
   PartitionLabels best;
   std::size_t best_cut = static_cast<std::size_t>(-1);
   for (int r = 0; r < std::max(1, cfg.restarts); ++r) {
     PartitionLabels labels =
         grow_seed_partition(g, k, cfg.max_part_size, rng);
+    std::size_t labels_cut = cut_edge_count(g, labels);
     for (int pass = 0; pass < cfg.max_passes; ++pass)
-      if (!refine_pass(g, labels, k, cfg.max_part_size, rng)) break;
-    const std::size_t cut = cut_edge_count(g, labels);
-    if (cut < best_cut) {
-      best_cut = cut;
-      best = labels;
+      if (!refine_pass(g, labels, labels_cut, cfg.max_part_size, rng,
+                       scratch))
+        break;
+    if (labels_cut < best_cut) {
+      best_cut = labels_cut;
+      best = std::move(labels);
     }
   }
   EPG_CHECK(partition_is_valid(g, best, cfg.max_part_size),
             "refined partition must stay within the size cap");
+  if (cut != nullptr) *cut = best_cut;
   return best;
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <vector>
 
@@ -13,54 +12,6 @@
 
 namespace epg {
 namespace {
-
-// ---- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 0u);
-  std::vector<int> hits(17, 0);  // no atomics needed: everything is inline
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-  bool ran = false;
-  pool.submit([&] { ran = true; });
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 32);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(16,
-                        [&](std::size_t i) {
-                          if (i == 7) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, WaitIdleDrainsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
-}
 
 // ---- Graph hashing -------------------------------------------------------
 

@@ -18,6 +18,20 @@ TEST(Metrics, CutEdgeCount) {
   EXPECT_EQ(edges[1], (Edge{2, 3}));
 }
 
+TEST(Metrics, CutEdgesAreTheCutSubsequenceOfEdges) {
+  // n = 150 spans three bitset words per row.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Graph g = make_erdos_renyi(150, 0.05, seed);
+    PartitionLabels labels(g.vertex_count());
+    for (Vertex v = 0; v < labels.size(); ++v) labels[v] = (v * 7 + seed) % 5;
+    std::vector<Edge> expected;
+    for (const Edge& e : g.edges())
+      if (labels[e.first] != labels[e.second]) expected.push_back(e);
+    EXPECT_EQ(cut_edges(g, labels), expected);
+    EXPECT_EQ(cut_edge_count(g, labels), expected.size());
+  }
+}
+
 TEST(Metrics, CutEdgeCountSizeMismatchThrows) {
   EXPECT_THROW(cut_edge_count(make_ring(4), {0, 1}), std::invalid_argument);
 }
