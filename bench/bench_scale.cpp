@@ -7,15 +7,13 @@
 // the whole five-stage compile (partition, subgraph, schedule,
 // correction, verify) through compile_framework on the deterministic
 // multilevel tier, reporting per-stage wall time and the compiled-circuit
-// metrics; bench_pipeline still tracks paper-size latency.
+// metrics; perfbench's paper-beam workload tracks paper-size latency.
 //
 // Every cell runs in a FORKED child with a hard timeout: a run that
 // stalls is killed, recorded as a timeout, and larger sizes of the same
-// (family, strategy) pair are skipped. The JSON schema is the
-// bench_pipeline one (instance/strategy/inner_threads cells with
-// deterministic metric keys + wall_ms), so ci/check_perf.py can gate a
-// checked-in baseline of either mode; timed-out cells live in a separate
-// "timeouts" array that the gate never reads.
+// (family, strategy) pair are skipped. The JSON holds one
+// instance/strategy/inner_threads cell per run (deterministic metric keys
+// + wall_ms); timed-out cells live in a separate "timeouts" array.
 //
 // Determinism: multilevel cells run at inner thread counts {0,2,8} and
 // the bench fails if any deterministic metric disagrees — in

@@ -6,8 +6,7 @@
 // to the current thread's buffer. Which recorder is "current" is a
 // thread-local pointer installed by ScopedTraceInstall — when none is
 // installed (the default), a Span is two reads and two branches: no
-// allocation, no clock read, no atomic. That disabled path is what the
-// bench_kernels `span_off` cell pins.
+// allocation, no clock read, no atomic.
 //
 // Nesting is implicit: Chrome's viewer (and tests/test_obs.cpp) reconstruct
 // the span tree from time containment per thread, so no parent links are

@@ -1,17 +1,19 @@
 // Search-state dedup for the LC + partition co-searches.
 //
-// A candidate graph is discarded only when (fingerprint, edge count,
-// labelled degree-sequence hash) all match a seen graph, so a 64-bit
-// Graph::fingerprint() collision alone can never silently prune a
-// genuinely new candidate — while memory stays at a few words per
-// candidate instead of retaining full graph copies across the search.
+// A candidate graph is discarded when its Graph::fingerprint(), edge count
+// and labelled degree-sequence hash all match a graph seen before. The set
+// keeps only those three words per candidate, not the graph, so it cannot
+// tell apart two distinct graphs that agree on all three: the second one
+// is pruned as seen. A 64-bit fingerprint collision alone does not prune
+// (the edge count or the degree hash still has to match), which makes a
+// wrong prune rare, not impossible. A wrong prune costs the search one
+// unexplored candidate; it never makes a returned partition invalid.
 //
 // Storage is a flat open table (power-of-two bucket heads + one
 // contiguous entry pool with intra-bucket chain links) instead of an
 // unordered_map<fingerprint, vector<Confirm>>: one allocation amortized
 // over all inserts, no per-bucket heap vectors, and reserve() lets
-// callers pre-size from their candidate budget. bench_kernels tracks the
-// insert path's latency.
+// callers pre-size from their candidate budget.
 #pragma once
 
 #include <cstddef>

@@ -46,8 +46,9 @@ enum class CompilerKind { framework, baseline };
 /// The wall-clock budget deterministic mode substitutes for the
 /// configured ones: large enough that no anytime search ever hits it,
 /// small enough that the double arithmetic in the budget checks stays
-/// exact. Exported so tooling that reproduces deterministic-mode
-/// fingerprints (bench_store's probe) shares the exact value.
+/// exact. Exported so code that compiles with lifted budgets outside a
+/// batch (the benchmark harness, the golden-metric tests) shares the
+/// exact value.
 inline constexpr double kUnboundedBudgetMs = 1e15;
 
 /// Where a job's result came from. `memory` = this BatchCompiler's cache,

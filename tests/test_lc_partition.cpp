@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/local_complement.hpp"
+#include "partition/seen_set.hpp"
 
 namespace epg {
 namespace {
@@ -90,6 +91,38 @@ TEST(LcPartition, SmallGraphSinglePart) {
   const PartitionOutcome out = search_lc_partition(g, cfg);
   EXPECT_EQ(out.parts.size(), 1u);
   EXPECT_EQ(out.stem_edge_count, 0u);
+}
+
+TEST(GraphSeenSet, ReinsertIsSeenAndOneEdgeMutantIsNew) {
+  const Graph g = shuffle_labels(make_lattice(3, 4), 5);
+  GraphSeenSet seen;
+  EXPECT_TRUE(seen.insert(g));
+  EXPECT_FALSE(seen.insert(g));
+  EXPECT_FALSE(seen.insert(Graph(g)));
+  Graph mutant = g;
+  mutant.toggle_edge(0, 1);
+  EXPECT_TRUE(seen.insert(mutant));
+  EXPECT_FALSE(seen.insert(mutant));
+  EXPECT_EQ(seen.size(), 2u);
+}
+
+TEST(GraphSeenSet, MembershipSurvivesGrowthPastInitialBuckets) {
+  // Every one-edge toggle of a 20-vertex ring: 190 distinct graphs, so
+  // the table rehashes twice past its initial 64 bucket heads.
+  const Graph g = make_ring(20);
+  std::vector<Graph> mutants;
+  for (Vertex a = 0; a < g.vertex_count(); ++a)
+    for (Vertex b = a + 1; b < g.vertex_count(); ++b) {
+      mutants.push_back(g);
+      mutants.back().toggle_edge(a, b);
+    }
+  ASSERT_GT(mutants.size(), 64u);
+  GraphSeenSet seen;
+  for (const Graph& m : mutants) EXPECT_TRUE(seen.insert(m));
+  EXPECT_EQ(seen.size(), mutants.size());
+  for (const Graph& m : mutants) EXPECT_FALSE(seen.insert(m));
+  EXPECT_TRUE(seen.insert(g));
+  EXPECT_EQ(seen.size(), mutants.size() + 1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The staged-pipeline contract: compile_framework metrics are bit-identical
 // at any inner thread count, every registered partition strategy yields a
-// verified circuit, and the Executor abstraction runs each index exactly
-// once whether serial, pooled, or lane-capped.
+// verified circuit with pinned golden metrics, and the Executor abstraction
+// runs each index exactly once whether serial, pooled, or lane-capped.
 #include "compile/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -96,16 +96,58 @@ TEST(Pipeline, StrategiesBitIdenticalAcrossInnerThreadCounts) {
   }
 }
 
-TEST(Pipeline, EveryRegisteredStrategyProducesVerifiedCircuit) {
+/// Paper knobs (g_max 7, Ne_limit = 1.5 x Ne_min) with LC depth 8, one
+/// verify seed and lifted wall-clock budgets, so the golden metrics below
+/// are a pure function of (instance, strategy).
+FrameworkConfig golden_config(const std::string& strategy,
+                              std::size_t inner_threads) {
+  FrameworkConfig cfg;
+  cfg.partition.g_max = 7;
+  cfg.partition.max_lc_ops = 8;
+  cfg.partition.time_budget_ms = kUnboundedBudgetMs;
+  cfg.partition.strategy = strategy;
+  cfg.subgraph.node_budget = 20000;
+  cfg.subgraph.time_budget_ms = kUnboundedBudgetMs;
+  cfg.ne_limit_factor = 1.5;
+  cfg.verify_seeds = 1;
+  cfg.seed = 12;
+  cfg.inner_threads = inner_threads;
+  return cfg;
+}
+
+TEST(Pipeline, GoldenMetricsForEveryStrategyAndLaneCount) {
+  struct Golden {
+    const char* instance;
+    Graph g;
+    std::size_t ee_cnot;
+    Tick makespan;
+    std::size_t emitters;
+    std::size_t stems;
+  };
+  const Golden table[] = {
+      {"lattice12", shuffle_labels(make_lattice(3, 4), 12), 7, 95, 4, 3},
+      {"tree12", shuffle_labels(make_random_tree(12, 157, 3), 12), 2, 58, 3,
+       1},
+  };
   const std::vector<std::string> names = partition_strategy_names();
   ASSERT_GE(names.size(), 3u);
-  const Graph g = shuffle_labels(make_lattice(3, 4), 1);
-  for (const std::string& name : names) {
-    const FrameworkResult r =
-        compile_framework(g, pipeline_config(name));
-    EXPECT_TRUE(r.verified) << name;
-    EXPECT_EQ(r.strategy, name);
-    EXPECT_EQ(r.schedule.circuit.num_photons(), g.vertex_count()) << name;
+  for (const Golden& row : table) {
+    for (const std::string& strategy : names) {
+      for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+        const FrameworkResult r =
+            compile_framework(row.g, golden_config(strategy, threads));
+        const std::string cell = std::string(row.instance) + "/" + strategy +
+                                 "/inner" + std::to_string(threads);
+        EXPECT_TRUE(r.verified) << cell;
+        EXPECT_EQ(r.strategy, strategy) << cell;
+        EXPECT_EQ(r.schedule.circuit.num_photons(), row.g.vertex_count())
+            << cell;
+        EXPECT_EQ(r.stats().ee_cnot_count, row.ee_cnot) << cell;
+        EXPECT_EQ(r.stats().makespan_ticks, row.makespan) << cell;
+        EXPECT_EQ(r.stats().emitters_used, row.emitters) << cell;
+        EXPECT_EQ(r.stem_count, row.stems) << cell;
+      }
+    }
   }
 }
 
