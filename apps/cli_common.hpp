@@ -38,7 +38,9 @@ class Args {
         std::exit(0);
       }
       if (bool_flags.count(token) > 0) {
-        values_[token] = "1";
+        // Moves a built string in: GCC 12 flags a false -Wrestrict on
+        // assigning the literal through std::string::operator=.
+        values_.insert_or_assign(token, std::string("1"));
         continue;
       }
       if (i + 1 >= argc) fail("flag --" + token + " needs a value");

@@ -69,7 +69,11 @@ Tick Gate::duration(const HardwareModel& hw) const {
 }
 
 std::string to_string(QubitId q) {
-  return (q.kind == QubitKind::emitter ? "e" : "p") + std::to_string(q.index);
+  // Appended, not "e" + to_string(...): GCC 12 flags a false -Wrestrict
+  // on prepending to a temporary string.
+  std::string s(1, q.kind == QubitKind::emitter ? 'e' : 'p');
+  s += std::to_string(q.index);
+  return s;
 }
 
 std::string Gate::str() const {

@@ -8,7 +8,9 @@ namespace epg {
 namespace {
 
 std::string qubit_token(QubitId q) {
-  return (q.kind == QubitKind::photon ? "p" : "e") + std::to_string(q.index);
+  std::string s(1, q.kind == QubitKind::photon ? 'p' : 'e');
+  s += std::to_string(q.index);
+  return s;
 }
 
 QubitId parse_qubit(const std::string& token) {

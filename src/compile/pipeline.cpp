@@ -22,7 +22,9 @@ std::vector<Vertex> natural_order(const Graph& g) {
 
 std::string part_cache_key(const SubgraphSpec& spec,
                            const SubgraphCompileConfig& cfg,
-                           std::uint32_t ne_cap);
+                           std::uint32_t ne);
+
+}  // namespace
 
 PartVariants compile_variants(const SubgraphSpec& spec,
                               const SubgraphCompileConfig& base,
@@ -33,40 +35,54 @@ PartVariants compile_variants(const SubgraphSpec& spec,
   const bool has_boundary =
       std::find(spec.boundary.begin(), spec.boundary.end(), true) !=
       spec.boundary.end();
-  // Per-(policy, ne) searches go through the sub-compile memo: a part
-  // recompiled under a different outer policy (the deadlock ladder) still
-  // shares every single-policy search it has in common with the original
-  // compile — in particular the anchors-only trio, which does not read
-  // stem keys and so caches identically under every outer policy.
-  auto cached_subgraph = [&](const SubgraphCompileConfig& cfg) {
-    const std::string key = part_cache_key(spec, cfg, cfg.ne_limit);
+  // Single (policy, ne) searches go through the sub-compile memo. The
+  // walk for one requested count often relaxes into the next requested
+  // count, which then reuses that search instead of running it again; a
+  // part recompiled under a different outer policy (the deadlock ladder)
+  // shares every search it has in common with the original compile — in
+  // particular the anchors-only ones, which do not read stem keys and so
+  // cache identically under every outer policy.
+  auto cached_search = [&](const SubgraphCompileConfig& cfg,
+                           std::uint32_t ne) {
+    const std::string key = part_cache_key(spec, cfg, ne);
     {
       std::lock_guard<std::mutex> lock(cache.mu);
       if (auto it = cache.sub_map.find(key); it != cache.sub_map.end())
         return it->second;
     }
     auto fresh = std::make_shared<const SubgraphCompileResult>(
-        compile_subgraph(spec, cfg));
+        compile_subgraph_at(spec, cfg, ne));
     std::lock_guard<std::mutex> lock(cache.mu);
     return cache.sub_map.try_emplace(key, std::move(fresh)).first->second;
   };
   auto add_variants = [&](const SubgraphCompileConfig& policy_cfg) {
+    // A search reached from several requested counts adds its nodes once.
+    std::vector<std::uint32_t> counted;
     for (std::uint32_t extra = 0; extra < 3; ++extra) {
       const std::uint32_t ne = ne_min + extra;
       if (extra > 0 && ne > ne_cap) break;
       SubgraphCompileConfig cfg = policy_cfg;
       cfg.ne_limit = ne;
-      const SubgraphCompileResult& r = *cached_subgraph(cfg);
-      out.nodes += r.nodes_explored;
-      if (!r.success) continue;
+      std::shared_ptr<const SubgraphCompileResult> hit;
+      walk_ne(spec, cfg, [&](std::uint32_t at) {
+        auto r = cached_search(cfg, at);
+        if (std::find(counted.begin(), counted.end(), at) == counted.end()) {
+          counted.push_back(at);
+          out.nodes += r->nodes_explored;
+        }
+        if (r->success) hit = std::move(r);
+        return hit != nullptr;
+      });
+      if (!hit) continue;
+      const SubgraphCircuit& best = hit->best;
       const bool duplicate = std::any_of(
           out.variants.begin(), out.variants.end(),
           [&](const SubgraphCircuit& v) {
-            return v.ne_used == r.best.ne_used &&
-                   v.stats.ee_cnot_count == r.best.stats.ee_cnot_count &&
-                   v.stats.makespan_ticks == r.best.stats.makespan_ticks;
+            return v.ne_used == best.ne_used &&
+                   v.stats.ee_cnot_count == best.stats.ee_cnot_count &&
+                   v.stats.makespan_ticks == best.stats.makespan_ticks;
           });
-      if (!duplicate) out.variants.push_back(r.best);
+      if (!duplicate) out.variants.push_back(best);
     }
   };
   add_variants(base);
@@ -92,12 +108,16 @@ PartVariants compile_variants(const SubgraphSpec& spec,
   return out;
 }
 
-/// Cache key: the byte-exact (adjacency, boundary, policy, ne_cap) tuple,
+namespace {
+
+/// Cache key: the byte-exact (adjacency, boundary, policy, ne) tuple,
 /// plus the stem keys when the key-ordered policy reads them (callers
-/// normalize those to ranks first — see rank_normalized below).
+/// normalize those to ranks first — see rank_normalized below). `ne` is
+/// the emitter cap for whole-variant entries and the searched count for
+/// single searches.
 std::string part_cache_key(const SubgraphSpec& spec,
                            const SubgraphCompileConfig& cfg,
-                           std::uint32_t ne_cap) {
+                           std::uint32_t ne) {
   const Graph& g = spec.graph;
   const auto n = static_cast<std::uint64_t>(g.vertex_count());
   std::string key;
@@ -114,7 +134,7 @@ std::string part_cache_key(const SubgraphSpec& spec,
   if (cfg.dangler.key_order)
     key.append(reinterpret_cast<const char*>(spec.stem_key.data()),
                spec.stem_key.size() * sizeof(std::uint32_t));
-  key.append(reinterpret_cast<const char*>(&ne_cap), sizeof ne_cap);
+  key.append(reinterpret_cast<const char*>(&ne), sizeof ne);
   return key;
 }
 

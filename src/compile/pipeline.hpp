@@ -54,7 +54,7 @@ struct PartVariants {
 /// Exact-duplicate part memo shared by the subgraph stage and the schedule
 /// stage's deadlock-ladder recompiles. Partitioning a large graph yields
 /// thousands of tiny parts, many byte-identical as (adjacency, boundary)
-/// specs; compile_subgraph is a pure function of (spec, cfg) — with one
+/// specs; a part's search is a pure function of (spec, cfg, ne) — with one
 /// caveat: spec.stem_key feeds the search only under the key-ordered
 /// dangler policy, and only through order comparisons, so key-ordered
 /// compiles are cached on rank-normalized keys (see rank_normalized in
@@ -65,16 +65,29 @@ struct PartVariants {
 struct PartCompileCache {
   std::mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const PartVariants>> map;
-  /// Single-policy compile_subgraph memo, keyed on (spec, policy, ne).
-  /// compile_variants assembles each PartVariants from up to six such
-  /// searches; caching at this finer granularity lets the scheduler's
-  /// deadlock-ladder recompiles (key-ordered outer policy) reuse the
-  /// anchors-only searches the subgraph stage already paid for, instead
-  /// of re-running them under a different whole-variants key.
+  /// Single-search memo: compile_subgraph_at results keyed on
+  /// (spec, policy, ne), where ne is the count searched, not the count
+  /// requested. compile_variants walks each requested count upward from
+  /// max(requested, subgraph_ne_floor) through this memo, so a walk that
+  /// relaxes into the next requested count hands that search over instead
+  /// of running it twice, and counts below the proven floor are never
+  /// searched. The scheduler's deadlock-ladder recompiles (key-ordered
+  /// outer policy) likewise reuse the anchors-only searches the subgraph
+  /// stage already paid for.
   std::unordered_map<std::string,
                      std::shared_ptr<const SubgraphCompileResult>>
       sub_map;
 };
+
+/// Compile one part at the flexible-ne counts ne_min, ne_min + 1 and
+/// ne_min + 2 (the last two only up to ne_cap) under `base`'s dangler
+/// policy, plus the anchors-only alternative when the part has boundary
+/// vertices and `base` allows dangler windows. Each requested count runs
+/// walk_ne through cache.sub_map; variants equal in (ne_used, ee-CZs,
+/// makespan) are kept once. `nodes` adds each distinct search once.
+PartVariants compile_variants(const SubgraphSpec& spec,
+                              const SubgraphCompileConfig& base,
+                              std::uint32_t ne_cap, PartCompileCache& cache);
 
 struct PipelineContext {
   const Graph& target;

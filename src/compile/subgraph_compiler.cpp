@@ -551,8 +551,9 @@ std::uint32_t subgraph_ne_min(const Graph& g) {
   return static_cast<std::uint32_t>(std::max<std::size_t>(best, 1));
 }
 
-SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
-                                       const SubgraphCompileConfig& cfg) {
+SubgraphCompileResult compile_subgraph_at(const SubgraphSpec& spec,
+                                          const SubgraphCompileConfig& cfg,
+                                          std::uint32_t ne) {
   EPG_REQUIRE(spec.graph.vertex_count() > 0, "empty subgraph");
   SubgraphCompileResult result;
   const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
@@ -563,60 +564,56 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
   // (deterministic: the enumeration order is fixed).
   const bool large = n >= cfg.large_part_threshold;
 
-  for (std::uint32_t ne = cfg.ne_limit; ne <= n + 1; ++ne) {
-    // Phase 1: a quick LC-free pass establishes a strong incumbent so the
-    // full branch-and-bound can prune deep LC branches early.
-    SubgraphCompileConfig lc_free = cfg;
-    lc_free.max_lc_ops = 0;
-    if (cfg.max_lc_ops > 0 && !large) {
-      lc_free.node_budget = std::max<std::size_t>(cfg.node_budget / 8, 2000);
-      lc_free.time_budget_ms = cfg.time_budget_ms / 4;
-    }
-    SearchContext warmup;
-    warmup.init(lc_free);
-    warmup.stop_at_first = large;
-    {
-      ReductionState root(spec, ne, cfg.dangler);
-      root.share_op_log(warmup.path);
-      dfs(warmup, root, 0);
-    }
-    result.nodes_explored += warmup.nodes;
-    result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
-
-    SearchContext ctx;
-    ctx.init(cfg);
-    ctx.best_cost = warmup.best_cost;
-    ctx.candidates = std::move(warmup.candidates);
-    if (cfg.max_lc_ops > 0 && !large) {
-      ReductionState root(spec, ne, cfg.dangler);
-      root.share_op_log(ctx.path);
-      dfs(ctx, root, 0);
-      result.nodes_explored += ctx.nodes;
-      result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
-    }
-    if (ctx.candidates.empty()) continue;
-
-    result.success = true;
-    result.relaxed_ne = ne != cfg.ne_limit;
-    result.ne_limit_used = ne;
-    result.sequences_found = ctx.candidates.size();
-
-    // Paper step 2: among min-CNOT candidates pick the min photon-loss one.
-    bool first = true;
-    for (const auto& ops : ctx.candidates) {
-      std::uint32_t slots = 0;
-      for (const ReduceOp& op : ops)
-        if (op.kind == ReduceOpKind::swap_photon)
-          slots = std::max(slots, op.slot_p + 1);
-      SubgraphCircuit circ = synthesize_forward(spec, ops, slots, cfg.hw);
-      if (first || circ.stats.t_loss_tau < result.best.stats.t_loss_tau) {
-        result.best = std::move(circ);
-        first = false;
-      }
-    }
-    break;
+  // Phase 1: a quick LC-free pass establishes a strong incumbent so the
+  // full branch-and-bound can prune deep LC branches early.
+  SubgraphCompileConfig lc_free = cfg;
+  lc_free.max_lc_ops = 0;
+  if (cfg.max_lc_ops > 0 && !large) {
+    lc_free.node_budget = std::max<std::size_t>(cfg.node_budget / 8, 2000);
+    lc_free.time_budget_ms = cfg.time_budget_ms / 4;
   }
-  if (result.success && cfg.verify) {
+  SearchContext warmup;
+  warmup.init(lc_free);
+  warmup.stop_at_first = large;
+  {
+    ReductionState root(spec, ne, cfg.dangler);
+    root.share_op_log(warmup.path);
+    dfs(warmup, root, 0);
+  }
+  result.nodes_explored += warmup.nodes;
+  result.memo_peak = std::max(result.memo_peak, warmup.memo_peak);
+
+  SearchContext ctx;
+  ctx.init(cfg);
+  ctx.best_cost = warmup.best_cost;
+  ctx.candidates = std::move(warmup.candidates);
+  if (cfg.max_lc_ops > 0 && !large) {
+    ReductionState root(spec, ne, cfg.dangler);
+    root.share_op_log(ctx.path);
+    dfs(ctx, root, 0);
+    result.nodes_explored += ctx.nodes;
+    result.memo_peak = std::max(result.memo_peak, ctx.memo_peak);
+  }
+  if (ctx.candidates.empty()) return result;
+
+  result.success = true;
+  result.ne_limit_used = ne;
+  result.sequences_found = ctx.candidates.size();
+
+  // Paper step 2: among min-CNOT candidates pick the min photon-loss one.
+  bool first = true;
+  for (const auto& ops : ctx.candidates) {
+    std::uint32_t slots = 0;
+    for (const ReduceOp& op : ops)
+      if (op.kind == ReduceOpKind::swap_photon)
+        slots = std::max(slots, op.slot_p + 1);
+    SubgraphCircuit circ = synthesize_forward(spec, ops, slots, cfg.hw);
+    if (first || circ.stats.t_loss_tau < result.best.stats.t_loss_tau) {
+      result.best = std::move(circ);
+      first = false;
+    }
+  }
+  if (cfg.verify) {
     Rng rng(0xE5C4A9);
     for (int trial = 0; trial < 2; ++trial) {
       SimulationResult sim = simulate(result.best.circuit, rng);
@@ -626,6 +623,53 @@ SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
                 "subgraph circuit failed verification");
     }
   }
+  return result;
+}
+
+std::uint32_t subgraph_ne_floor(const SubgraphSpec& spec,
+                                const DanglerPolicy& policy) {
+  // Proof. A boundary photon never leaves by absorb_leaf or absorb_twin,
+  // and the vertices counted here cannot leave by absorb_dangler either
+  // (ReductionState::can_absorb_dangler), so each must leave by
+  // swap_photon. That makes it an anchor: maybe_retire never frees an
+  // anchor, and only finalize() retires anchors, after every photon is
+  // gone. So when the last of them swaps, all the others are still live
+  // emitters, and can_swap needs active < ne_limit at that moment.
+  std::uint32_t hosted_never = 0;
+  for (Vertex v = 0; v < spec.graph.vertex_count(); ++v)
+    if (spec.boundary[v] &&
+        (policy.cap == 0 ||
+         (policy.key_order && spec.stem_key[v] == SubgraphSpec::must_swap)))
+      ++hosted_never;
+  return hosted_never;
+}
+
+std::uint32_t walk_ne(const SubgraphSpec& spec,
+                      const SubgraphCompileConfig& cfg,
+                      const std::function<bool(std::uint32_t)>& search_at) {
+  const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
+  const std::uint32_t start =
+      std::max(cfg.ne_limit, subgraph_ne_floor(spec, cfg.dangler));
+  for (std::uint32_t ne = start; ne <= n + 1; ++ne)
+    if (search_at(ne)) return ne;
+  return 0;
+}
+
+SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
+                                       const SubgraphCompileConfig& cfg) {
+  EPG_REQUIRE(spec.graph.vertex_count() > 0, "empty subgraph");
+  SubgraphCompileResult result;
+  std::size_t nodes = 0, memo_peak = 0;
+  walk_ne(spec, cfg, [&](std::uint32_t ne) {
+    SubgraphCompileResult r = compile_subgraph_at(spec, cfg, ne);
+    nodes += r.nodes_explored;
+    memo_peak = std::max(memo_peak, r.memo_peak);
+    if (r.success) result = std::move(r);
+    return result.success;
+  });
+  result.nodes_explored = nodes;
+  result.memo_peak = memo_peak;
+  result.relaxed_ne = result.success && result.ne_limit_used != cfg.ne_limit;
   return result;
 }
 

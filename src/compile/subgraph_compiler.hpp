@@ -12,9 +12,18 @@
 // residual local Cliffords of each absorption against the expected reduced
 // graph state. Every synthesized circuit is verified end-to-end against
 // |G_subgraph> before it is returned.
+//
+// One search runs at one emitter count (compile_subgraph_at). The flexible-
+// ne walk (walk_ne) tries counts upward from the requested one until a
+// search succeeds, but never starts below the part's proven emitter floor
+// (subgraph_ne_floor): searches under it cannot succeed, so skipping them
+// changes no result. compile_subgraph and the pipeline's variant assembly
+// share that one walk; the pipeline memoizes the single-count searches, so
+// a count reached from two requests is searched once.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -83,13 +92,39 @@ struct SubgraphCompileResult {
   /// regression test; never exceeds cfg.memo_cap).
   std::size_t memo_peak = 0;
   /// True when the requested ne_limit was infeasible within budget and a
-  /// larger limit was used.
+  /// larger limit was used (set by compile_subgraph, never by
+  /// compile_subgraph_at).
   bool relaxed_ne = false;
   std::uint32_t ne_limit_used = 0;
 };
 
+/// Compile at cfg.ne_limit emitters, relaxing the limit upward (walk_ne)
+/// until a search succeeds. Counts, nodes and memo peak add up over every
+/// search the walk ran.
 SubgraphCompileResult compile_subgraph(const SubgraphSpec& spec,
                                        const SubgraphCompileConfig& cfg);
+
+/// One search at exactly `ne` emitters (cfg.ne_limit is not read): an
+/// LC-free warm-up, the branch-and-bound, then synthesis of the kept
+/// candidates and verification of the winner. A pure function of
+/// (spec, cfg, ne) — up to a binding time_budget_ms.
+SubgraphCompileResult compile_subgraph_at(const SubgraphSpec& spec,
+                                          const SubgraphCompileConfig& cfg,
+                                          std::uint32_t ne);
+
+/// Emitters any reduction of `spec` under `policy` holds at once: the
+/// boundary vertices no dangler window may host (policy.cap == 0, or
+/// key_order and stem_key == must_swap). Searches below it cannot succeed.
+std::uint32_t subgraph_ne_floor(const SubgraphSpec& spec,
+                                const DanglerPolicy& policy);
+
+/// The flexible-ne walk: calls search_at(ne) for ne = max(cfg.ne_limit,
+/// subgraph_ne_floor(spec, cfg.dangler)), then +1, ... up to n + 1, and
+/// stops at the first call that returns true. Returns that ne, or 0 when no
+/// count succeeded.
+std::uint32_t walk_ne(const SubgraphSpec& spec,
+                      const SubgraphCompileConfig& cfg,
+                      const std::function<bool(std::uint32_t)>& search_at);
 
 /// Lower bound on the emitters needed for the subgraph (min over a few
 /// natural emission orders of the height-function maximum).

@@ -69,8 +69,9 @@ class VertexAdd final : public Mutator {
     std::string joined;
     for (std::size_t i = 0; i < fanout; ++i) {
       const Vertex u = static_cast<Vertex>(rng.below(n));
-      if (g.add_edge(u, v)) joined += (joined.empty() ? "" : ",") +
-                                      std::to_string(u);
+      if (!g.add_edge(u, v)) continue;
+      if (!joined.empty()) joined += ',';
+      joined += std::to_string(u);
     }
     *detail = "add " + std::to_string(v) + " ~ {" + joined + "}";
     return true;

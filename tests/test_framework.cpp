@@ -139,8 +139,9 @@ TEST_P(FrameworkFamilies, ScheduleIsPhysical) {
     };
     check(gate.a);
     if (gate.is_two_qubit()) check(gate.b);
-    if (gate.kind == GateKind::emission)
+    if (gate.kind == GateKind::emission) {
       EXPECT_EQ(s.photon_emit[gate.b.index], s.gate_end[i]);
+    }
   }
   EXPECT_EQ(s.peak_usage, s.circuit.num_emitters());
 }

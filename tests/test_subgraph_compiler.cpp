@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "circuit/serialize.hpp"
 #include "circuit/simulate.hpp"
+#include "compile/pipeline.hpp"
 #include "compile/verify.hpp"
+#include "fuzz/mutators.hpp"
 #include "graph/generators.hpp"
 
 namespace epg {
@@ -165,6 +170,198 @@ TEST(SubgraphCompiler, SynthesizeForwardIsDeterministic) {
   EXPECT_EQ(a.best.circuit.size(), b.best.circuit.size());
   EXPECT_EQ(a.best.stats.ee_cnot_count, b.best.stats.ee_cnot_count);
   EXPECT_EQ(a.best.stats.makespan_ticks, b.best.stats.makespan_ticks);
+}
+
+// ---- emitter floor and the shared ne-walk --------------------------------
+
+using fuzz::make_seed_graph;
+using fuzz::seed_family_count;
+using fuzz::seed_family_name;
+
+/// The first (up to) `n` vertices of `g` in BFS order from vertex 0, as an
+/// induced (connected) subgraph.
+Graph bfs_prefix(const Graph& g, std::size_t n) {
+  std::vector<Vertex> keep{0};
+  std::vector<bool> seen(g.vertex_count(), false);
+  seen[0] = true;
+  for (std::size_t h = 0; h < keep.size() && keep.size() < n; ++h)
+    g.for_each_neighbor(keep[h], [&](Vertex u) {
+      if (!seen[u] && keep.size() < n) {
+        seen[u] = true;
+        keep.push_back(u);
+      }
+    });
+  std::sort(keep.begin(), keep.end());
+  return g.induced(keep);
+}
+
+/// Exhaustive searches: neither budget may cut a tree short, so a failure
+/// means no reduction exists at that emitter count.
+SubgraphCompileConfig exhaustive_config(DanglerPolicy policy) {
+  SubgraphCompileConfig cfg;
+  cfg.node_budget = 50'000'000;
+  cfg.time_budget_ms = 1e15;
+  cfg.dangler = policy;
+  return cfg;
+}
+
+/// Floor proof, checked by exhaustion: on small parts from every generator
+/// family, with every boundary set of size >= 2, no search one emitter
+/// below subgraph_ne_floor succeeds — under anchors-only (every boundary
+/// vertex counts) and under key-ordered with must_swap keys (only those
+/// count) — while the walk from below the floor still finds a reduction
+/// at or above it.
+TEST(SubgraphCompiler, NoSearchBelowTheEmitterFloorSucceeds) {
+  std::size_t checked = 0;
+  for (std::size_t family = 0; family < seed_family_count(); ++family) {
+    const Graph g = bfs_prefix(make_seed_graph(family, 0, 11 + family), 6);
+    const std::size_t n = g.vertex_count();
+    ASSERT_GE(n, 3u) << seed_family_name(family);
+    for (unsigned mask = 0; mask < (1u << n); ++mask) {
+      if (__builtin_popcount(mask) < 2) continue;
+      std::vector<bool> boundary(n, false);
+      for (std::size_t v = 0; v < n; ++v) boundary[v] = (mask >> v) & 1u;
+      // Key-ordered: every other boundary vertex carries several stems.
+      std::vector<std::uint32_t> keys(n, 0);
+      std::uint32_t rank = 0;
+      for (std::size_t v = 0; v < n; ++v)
+        if (boundary[v])
+          keys[v] = rank++ % 2 == 0 ? SubgraphSpec::must_swap : rank;
+      const SubgraphSpec spec(g, boundary, keys);
+      for (const DanglerPolicy policy :
+           {DanglerPolicy::anchors_only(), DanglerPolicy::key_ordered()}) {
+        const SubgraphCompileConfig cfg = exhaustive_config(policy);
+        const std::uint32_t floor = subgraph_ne_floor(spec, policy);
+        if (floor < 2) continue;
+        const auto below = compile_subgraph_at(spec, cfg, floor - 1);
+        EXPECT_FALSE(below.success)
+            << seed_family_name(family) << " mask " << mask << " key_order "
+            << policy.key_order << " floor " << floor;
+        EXPECT_LT(below.nodes_explored, cfg.node_budget);
+        SubgraphCompileConfig walk = cfg;
+        walk.ne_limit = 1;
+        const auto r = compile_subgraph(spec, walk);
+        ASSERT_TRUE(r.success);
+        EXPECT_GE(r.ne_limit_used, floor);
+        EXPECT_TRUE(r.relaxed_ne);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 500u);  // the boundary sets really reach floors >= 2
+}
+
+TEST(SubgraphCompiler, FloorCountsOnlyVerticesNoWindowMayHost) {
+  const std::vector<std::uint32_t> keys = {SubgraphSpec::must_swap, 1, 2,
+                                           SubgraphSpec::must_swap};
+  const SubgraphSpec spec(make_linear_cluster(4), {true, true, false, true},
+                          keys);
+  EXPECT_EQ(subgraph_ne_floor(spec, DanglerPolicy::anchors_only()), 3u);
+  EXPECT_EQ(subgraph_ne_floor(spec, DanglerPolicy::key_ordered()), 2u);
+  EXPECT_EQ(subgraph_ne_floor(spec, DanglerPolicy::free_form()), 0u);
+}
+
+/// The per-part loop as it stood before the shared walk: every requested
+/// count searches upward from itself, with no floor and no shared searches.
+SubgraphCompileResult reference_walk(const SubgraphSpec& spec,
+                                     const SubgraphCompileConfig& cfg) {
+  const auto n = static_cast<std::uint32_t>(spec.graph.vertex_count());
+  for (std::uint32_t ne = cfg.ne_limit; ne <= n + 1; ++ne) {
+    SubgraphCompileResult r = compile_subgraph_at(spec, cfg, ne);
+    if (r.success) return r;
+  }
+  return {};
+}
+
+PartVariants reference_variants(const SubgraphSpec& spec,
+                                const SubgraphCompileConfig& base,
+                                std::uint32_t ne_cap) {
+  PartVariants out;
+  const std::uint32_t ne_min = subgraph_ne_min(spec.graph);
+  auto add = [&](const SubgraphCompileConfig& policy_cfg) {
+    for (std::uint32_t extra = 0; extra < 3; ++extra) {
+      const std::uint32_t ne = ne_min + extra;
+      if (extra > 0 && ne > ne_cap) break;
+      SubgraphCompileConfig cfg = policy_cfg;
+      cfg.ne_limit = ne;
+      const SubgraphCompileResult r = reference_walk(spec, cfg);
+      if (!r.success) continue;
+      const bool duplicate = std::any_of(
+          out.variants.begin(), out.variants.end(),
+          [&](const SubgraphCircuit& v) {
+            return v.ne_used == r.best.ne_used &&
+                   v.stats.ee_cnot_count == r.best.stats.ee_cnot_count &&
+                   v.stats.makespan_ticks == r.best.stats.makespan_ticks;
+          });
+      if (!duplicate) out.variants.push_back(r.best);
+    }
+  };
+  add(base);
+  const bool has_boundary = std::find(spec.boundary.begin(),
+                                      spec.boundary.end(),
+                                      true) != spec.boundary.end();
+  if (has_boundary && base.dangler.cap != 0) {
+    SubgraphCompileConfig anchors = base;
+    anchors.dangler = DanglerPolicy::anchors_only();
+    add(anchors);
+  }
+  return out;
+}
+
+/// compile_variants (one walk per requested count, searches shared through
+/// the part cache, floor skipped) returns exactly what the old per-call
+/// loop returned: same circuits, anchors and peak emitters for every part
+/// of real partitions, under each of the three dangler policies.
+TEST(SubgraphCompiler, CompileVariantsMatchesThePerCallReference) {
+  FrameworkConfig fcfg;
+  fcfg.partition.time_budget_ms = 1e15;
+  fcfg.partition.max_lc_ops = 4;
+  fcfg.partition.beam_width = 3;
+  SubgraphCompileConfig base;
+  base.node_budget = 10000;
+  base.time_budget_ms = 1e15;
+  std::size_t parts_checked = 0, floor_skips = 0;
+  for (std::size_t family = 0; family < seed_family_count(); ++family) {
+    const Graph g = make_seed_graph(family, 1, 31 + family);
+    const Executor serial;
+    PipelineContext ctx{g, fcfg, serial, {}, {}, {}, {}, {}, nullptr};
+    make_framework_pipeline().front()->run(ctx);
+    for (const DanglerPolicy policy :
+         {DanglerPolicy::free_form(), DanglerPolicy::key_ordered(),
+          DanglerPolicy::anchors_only()}) {
+      SubgraphCompileConfig cfg = base;
+      cfg.dangler = policy;
+      PartCompileCache cache;
+      for (const PartPlan& part : ctx.plan.parts) {
+        const PartVariants got =
+            compile_variants(part.spec, cfg, ctx.result.ne_limit, cache);
+        const PartVariants want =
+            reference_variants(part.spec, cfg, ctx.result.ne_limit);
+        ASSERT_EQ(got.variants.size(), want.variants.size())
+            << seed_family_name(family);
+        for (std::size_t i = 0; i < want.variants.size(); ++i) {
+          const SubgraphCircuit& a = got.variants[i];
+          const SubgraphCircuit& b = want.variants[i];
+          EXPECT_EQ(serialize_circuit(a.circuit), serialize_circuit(b.circuit));
+          EXPECT_EQ(a.ne_used, b.ne_used);
+          ASSERT_EQ(a.anchors.size(), b.anchors.size());
+          for (std::size_t k = 0; k < a.anchors.size(); ++k) {
+            EXPECT_EQ(a.anchors[k].vertex, b.anchors[k].vertex);
+            EXPECT_EQ(a.anchors[k].slot, b.anchors[k].slot);
+            EXPECT_EQ(a.anchors[k].init_gate, b.anchors[k].init_gate);
+            EXPECT_EQ(a.anchors[k].tail_begin, b.anchors[k].tail_begin);
+            EXPECT_EQ(a.anchors[k].via_swap, b.anchors[k].via_swap);
+          }
+        }
+        floor_skips += subgraph_ne_floor(part.spec,
+                                         DanglerPolicy::anchors_only()) >
+                       subgraph_ne_min(part.spec.graph);
+        ++parts_checked;
+      }
+    }
+  }
+  EXPECT_GE(parts_checked, 40u);
+  EXPECT_GT(floor_skips, 0u);  // the floor really skips searches here
 }
 
 }  // namespace
